@@ -42,26 +42,29 @@ let resolve_query prog name =
   if !r < 0 then None else Some !r
 
 let analyze file analysis scheduler pre queries dump_ir dump_svfg dot_file
-    check stats cache_dir jobs =
+    check stats cache_dir =
   let src = read_file file in
-  let compile s =
-    if Filename.check_suffix file ".ir" then Parser.parse s
-    else Pta_cfront.Lower.compile s
-  in
   let store = Option.map open_store cache_dir in
-  let ctx =
-    Pipeline.context ?store ~label:file ~pre ~strategy:scheduler ~jobs ()
-  in
+  let ctx = Pipeline.context ?store ~label:file ~pre ~strategy:scheduler () in
   let b =
     try
-      let b = Pipeline.build_source ~ctx ~compile src in
+      let b =
+        Pipeline.build_source ~ctx ~compile:(Pipeline.compile_for file) src
+      in
       if store <> None then
         Format.printf "cache: build %s@."
           (if Pipeline.stage_warm ctx "build" then "warm" else "cold");
       b
-    with Failure msg ->
+    with
+    | Failure msg ->
       Format.eprintf "invalid program:@.%s@." msg;
       exit 1
+    | e -> (
+      match Pipeline.frontend_error e with
+      | Some msg ->
+        Format.eprintf "vsfs: %s: %s@." file msg;
+        exit 1
+      | None -> raise e)
   in
   (* stderr: the report on stdout must stay byte-identical across --pre *)
   if b.Pipeline.pre_vars > 0 then
@@ -247,11 +250,12 @@ let analyze_cmd =
     Arg.(value
          & opt (enum Pta_engine.Scheduler.assoc) `Fifo
          & info [ "scheduler" ] ~docv:"STRATEGY"
-             ~doc:"Engine worklist scheduling for the flow-sensitive solvers: \
-                   fifo (default), lifo, topo (SVFG SCC-topological), or lrf \
-                   (least-recently-fired). Any choice yields bit-identical \
-                   points-to sets; only the visit order (and so the running \
-                   time) changes.")
+             ~doc:"Engine worklist scheduling for the sfs, vsfs and dense \
+                   solvers: fifo (default), lifo, topo (SCC-topological over \
+                   the SVFG, or the ICFG for dense), or lrf \
+                   (least-recently-fired). Every solve is sequential; any \
+                   choice yields bit-identical points-to sets, and only the \
+                   visit order (and so the running time) changes.")
   in
   let queries =
     Arg.(value & opt_all string [] & info [ "query"; "q" ]
@@ -280,19 +284,20 @@ let analyze_cmd =
                  keyed on the source contents, and save any that are \
                  missing. See also $(b,vsfs cache).")
   in
-  let jobs =
-    Arg.(value & opt int 1
-         & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Worker domains for the SFS/VSFS solve: independent SCCs \
-                   of the same SVFG topological level are evaluated in \
-                   parallel and merged deterministically at each level \
-                   barrier. Results are bit-identical to --jobs 1.")
+  let exits =
+    Cmd.Exit.info 1
+      ~doc:"on malformed input (a located $(i,FILE): message naming the \
+            lex, parse, lowering or IR parse error and its line), an \
+            invalid program, an unusable cache directory, or a failed \
+            $(b,--check)."
+    :: Cmd.Exit.defaults
   in
   Cmd.v
-    (Cmd.info "analyze" ~doc:"Analyse a mini-C (.c) or textual-IR (.ir) file")
+    (Cmd.info "analyze" ~exits
+       ~doc:"Analyse a mini-C (.c) or textual-IR (.ir) file")
     Term.(
       const analyze $ file $ analysis $ scheduler $ pre $ queries $ dump_ir
-      $ dump_svfg $ dot_file $ check $ stats $ cache_dir $ jobs)
+      $ dump_svfg $ dot_file $ check $ stats $ cache_dir)
 
 let gen_cmd =
   let bench =
@@ -648,7 +653,9 @@ let serve_cmd =
     Arg.(value
          & opt int (Pta_par.Pool.default_jobs ())
          & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Worker domains for batched query fan-out.")
+             ~doc:"Worker domains for batched query fan-out only (default: \
+                   the machine's recommended domain count). Loads and \
+                   reloads always solve sequentially.")
   in
   let no_vsfs =
     Arg.(value & flag & info [ "no-vsfs" ]

@@ -119,30 +119,3 @@ val n_propagations : result -> int
 
 val processed : result -> int
 (** Worklist pops. *)
-
-(** Wavefront-parallel solving: same fixpoint, bit-identical results, with
-    independent SCCs of the same topological level evaluated on worker
-    domains against frozen snapshots and merged deterministically at each
-    level barrier (see {!Pta_par.Wave}). *)
-module Wave : sig
-  type task
-  (** Plain-data snapshot of one component's visible state, safe to ship to
-      a worker domain. *)
-
-  type delta
-  (** Plain-data result of a worker-local fixpoint: every slot it changed,
-      as bitsets. *)
-
-  val client :
-    ?strong_updates:bool ->
-    Pta_svfg.Svfg.t ->
-    result * (task, delta) Pta_par.Wave.client
-  (** Fresh solver state plus the wavefront client that solves into it.
-      Drive with {!Pta_par.Wave.drive}; read results from the paired
-      [result] afterwards. *)
-
-  val solve : ?jobs:int -> ?strong_updates:bool -> Pta_svfg.Svfg.t -> result
-  (** [solve ~jobs svfg] = [drive ~jobs] on a fresh client. [jobs = 1]
-      (default) runs every component on the caller domain; any [jobs] yields
-      bit-identical results. *)
-end

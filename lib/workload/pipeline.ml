@@ -20,6 +20,23 @@ let time f =
   let x = f () in
   (x, Unix.gettimeofday () -. start)
 
+(* ---------- front end ---------- *)
+
+let compile_for path src =
+  if Filename.check_suffix path ".ir" then Pta_ir.Parser.parse src
+  else Pta_cfront.Lower.compile src
+
+let frontend_error = function
+  | Pta_cfront.Lexer.Lex_error (line, m) ->
+    Some (Printf.sprintf "lex error at line %d: %s" line m)
+  | Pta_cfront.Cparser.Parse_error (line, m) ->
+    Some (Printf.sprintf "parse error at line %d: %s" line m)
+  | Pta_cfront.Lower.Lower_error (line, m) ->
+    Some (Printf.sprintf "lowering error at line %d: %s" line m)
+  | Pta_ir.Parser.Parse_error (line, m) ->
+    Some (Printf.sprintf "IR parse error at line %d: %s" line m)
+  | _ -> None
+
 (* ---------- execution context ---------- *)
 
 type ctx = {
@@ -27,12 +44,14 @@ type ctx = {
   label : string;
   pre : pre;
   strategy : Pta_engine.Scheduler.strategy option;
-  jobs : int;  (* > 1 routes the solve stages through the wavefront driver *)
   stage_log : (string * float * bool) list ref;  (* newest first *)
 }
 
 let context ?store ?(label = "") ?(pre = `None) ?strategy ?(jobs = 1) () =
-  { store; label; pre; strategy; jobs; stage_log = ref [] }
+  if jobs <> 1 then
+    invalid_arg
+      (Printf.sprintf "Pipeline.context: ~jobs:%d (only 1 is supported)" jobs);
+  { store; label; pre; strategy; stage_log = ref [] }
 
 let stage_log ctx = List.rev !(ctx.stage_log)
 
@@ -282,16 +301,11 @@ let stage_versioning =
 
 let stage_sfs =
   Stage.v ~key:"solve-sfs" (fun ctx (_, svfg) ->
-      if ctx.jobs > 1 then Pta_sfs.Sfs.Wave.solve ~jobs:ctx.jobs svfg
-      else Pta_sfs.Sfs.solve ?strategy:ctx.strategy svfg)
+      Pta_sfs.Sfs.solve ?strategy:ctx.strategy svfg)
 
 let stage_vsfs =
   Stage.v ~key:"solve-vsfs" (fun ctx (_, svfg, ver) ->
-      let r =
-        if ctx.jobs > 1 then
-          Vsfs_core.Vsfs.Wave.solve ~jobs:ctx.jobs ~versioning:ver svfg
-        else Vsfs_core.Vsfs.solve ?strategy:ctx.strategy ~versioning:ver svfg
-      in
+      let r = Vsfs_core.Vsfs.solve ?strategy:ctx.strategy ~versioning:ver svfg in
       (r, ver))
 
 let stage_dense =

@@ -38,6 +38,18 @@ type built = {
   pre_vars : int;  (** variables at seed time (the reduction denominator) *)
 }
 
+(* Front end ------------------------------------------------------------- *)
+
+val compile_for : string -> string -> Pta_ir.Prog.t
+(** [compile_for path src] compiles [src] with the front end [path]'s
+    suffix selects: the textual-IR parser for [.ir], mini-C otherwise. *)
+
+val frontend_error : exn -> string option
+(** The located one-line message for a front-end exception
+    ({!Pta_cfront.Lexer.Lex_error}, {!Pta_cfront.Cparser.Parse_error},
+    {!Pta_cfront.Lower.Lower_error}, {!Pta_ir.Parser.Parse_error}), e.g.
+    ["parse error at line 3: expected ;"]; [None] for any other exception. *)
+
 (* Execution context ------------------------------------------------------ *)
 
 type ctx
@@ -48,9 +60,9 @@ type ctx
 val context :
   ?store:Pta_store.Store.t -> ?label:string -> ?pre:pre ->
   ?strategy:Pta_engine.Scheduler.strategy -> ?jobs:int -> unit -> ctx
-(** [jobs > 1] routes the SFS/VSFS solve stages through the
-    wavefront-parallel driver ({!Pta_sfs.Sfs.Wave}, {!Vsfs_core.Vsfs.Wave})
-    on that many worker domains; results are bit-identical to [jobs = 1]. *)
+(** The solve stages are sequential. [?jobs] is kept only so existing
+    callers that pass [~jobs:1] keep compiling; it configures nothing.
+    @raise Invalid_argument for any [jobs] other than 1. *)
 
 val stage_log : ctx -> (string * float * bool) list
 (** [(key, seconds, warm)] per executed stage, oldest first. *)

@@ -496,6 +496,34 @@ let test_session_failed_reload_keeps_state () =
         (Session.answers s [ Protocol.Points_to "g.o" ] = before);
       check_battery "post failed reloads" s src_base)
 
+(* Reload errors for malformed input carry the shared front-end formatter's
+   located message ([Pipeline.frontend_error]), one case per exception. *)
+let frontend_error_cases =
+  [
+    ("lex error", ".c", "func main() { var p; p = @; }",
+     "lex error at line 1: unexpected character '@'");
+    ("parse error", ".c", "global g;\nint main() { int *p = ; }",
+     "parse error at line 2: expected 'global' or 'func', got int");
+    ("lowering error", ".c", "func main() {\n  var p;\n  p = q;\n}",
+     "lowering error at line 3: unbound variable q");
+    ("IR parse error", ".ir", "garbage here",
+     "IR parse error at line 1: unexpected token garbage at top level");
+  ]
+
+let test_session_reload_frontend_error (_, suffix, src, expected) () =
+  with_session src_base (fun file s ->
+      let bad = Filename.remove_extension file ^ "-bad" ^ suffix in
+      write_file bad src;
+      (match Session.reload s ~path:bad () with
+      | Ok _ -> Alcotest.fail "reload of malformed input succeeded"
+      | Error e -> Alcotest.(check string) "located message" expected e);
+      (match Pipeline.compile_for bad src with
+      | _ -> Alcotest.fail "compile of malformed input succeeded"
+      | exception e ->
+        Alcotest.(check (option string)) "shared formatter" (Some expected)
+          (Pipeline.frontend_error e));
+      Alcotest.(check string) "path unchanged" file (Session.path s))
+
 (* Down the lattice (exact → andersen → unify) answers may only coarsen:
    points-to sets grow, bool answers flip only in the sound direction. *)
 let test_session_tier_lattice () =
@@ -558,6 +586,11 @@ let session_tests =
     Alcotest.test_case "failed reload keeps old state" `Quick
       test_session_failed_reload_keeps_state;
   ]
+  @ List.map
+      (fun ((name, _, _, _) as case) ->
+        Alcotest.test_case ("reload reports " ^ name) `Quick
+          (test_session_reload_frontend_error case))
+      frontend_error_cases
 
 (* ---------- end-to-end: a forked daemon over the socket ---------- *)
 

@@ -294,6 +294,24 @@ let test_pre_bit_identity_suite () =
         (same (P.points_to_of_vsfs b0 vsfs0) (P.points_to_of_vsfs b1 vsfs1)))
     [ "du"; "dpkg" ]
 
+(* The solve stages are sequential: [~jobs:1] is accepted for old callers,
+   anything else is rejected rather than silently ignored. *)
+let test_context_jobs () =
+  ignore (P.context ~jobs:1 ());
+  List.iter
+    (fun jobs ->
+      match P.context ~jobs () with
+      | _ -> Alcotest.failf "context ~jobs:%d accepted" jobs
+      | exception Invalid_argument _ -> ())
+    [ 0; 2; 4 ]
+
+let test_frontend_error_other_exns () =
+  List.iter
+    (fun e ->
+      Alcotest.(check (option string)) (Printexc.to_string e) None
+        (P.frontend_error e))
+    [ Failure "invalid program"; Not_found; Sys_error "no such file" ]
+
 let () =
   Alcotest.run "pta_workload"
     [
@@ -319,6 +337,10 @@ let () =
           Alcotest.test_case "metrics" `Quick test_pipeline_metrics;
           Alcotest.test_case "dense agrees on benchmark" `Slow
             test_dense_on_benchmark;
+          Alcotest.test_case "context accepts only jobs 1" `Quick
+            test_context_jobs;
+          Alcotest.test_case "frontend_error ignores other exceptions" `Quick
+            test_frontend_error_other_exns;
         ] );
       ( "stages",
         [
