@@ -6,7 +6,9 @@
 #            same file twice through a fresh cache and require the second
 #            run to be a warm start with a results hit; then analyze a
 #            malformed .c file and require exit 1 with a located
-#            `vsfs: FILE: parse error at line N` diagnostic (not exit 125)
+#            `vsfs: FILE: parse error at line N` diagnostic (not exit 125);
+#            finally cross-check SFS against VSFS (`--check`) on mruby, a
+#            dispatch-heavy program with many δ nodes
 #   bench-smoke — scale-0.1 Table III run with --json; checks the
 #            machine-readable output carries the interning metrics
 #   fuzz-smoke — bounded differential-fuzzing run (fixed seed, all
@@ -69,6 +71,9 @@ smoke: build
 	./_build/default/bin/vsfs_cli.exe analyze $(SMOKE_DIR)/bad.c \
 	  2> $(SMOKE_DIR)/bad.err; test $$? -eq 1
 	grep -q '^vsfs: $(SMOKE_DIR)/bad.c: parse error at line 1: ' $(SMOKE_DIR)/bad.err
+	$(DUNE) exec bin/vsfs_cli.exe -- gen --bench mruby --scale 0.2 -o $(SMOKE_DIR)/mruby.c
+	$(DUNE) exec bin/vsfs_cli.exe -- analyze $(SMOKE_DIR)/mruby.c --check > $(SMOKE_DIR)/check.out
+	grep -q '^check: SFS and VSFS agree' $(SMOKE_DIR)/check.out
 	rm -rf $(SMOKE_DIR)
 	@echo "== smoke OK =="
 

@@ -13,7 +13,7 @@ type t = int
 
 type table = {
   mutable hc : HC.t;
-  meld_memo : (int * int, int) Hashtbl.t;
+  meld_memo : (int, int) Hashtbl.t;  (* packed (min, max) -> meld *)
   mutable next_label : int;
   mutable label_names : string list;  (* reversed; diagnostics only *)
   mutable n_sealed : int;  (* version count snapshot taken at seal time *)
@@ -43,7 +43,11 @@ let meld t a b =
   else if a = epsilon then b
   else if b = epsilon then a
   else begin
-    let key = (min a b, max a b) in
+    let lo = Int.min a b and hi = Int.max a b in
+    (* packed like [Versioning.key]: checked, so ids never collide *)
+    if hi >= Ptset.key_limit then
+      invalid_arg "Version.meld: version id beyond the 31-bit packed-key range";
+    let key = (lo lsl Ptset.key_bits) lor hi in
     match Hashtbl.find_opt t.meld_memo key with
     | Some v -> v
     | None ->

@@ -13,6 +13,7 @@ type t = {
   reliance : (int, Bitset.t) Hashtbl.t;  (* (obj, κ) -> κ' set *)
   subscribers : (int, Bitset.t) Hashtbl.t;  (* (obj, κ) -> nodes *)
   mutable n_reliances : int;
+  mutable n_versions : int;  (* |K| of the final labelling, ε included *)
   mutable duration : float;
 }
 
@@ -91,8 +92,25 @@ let subscribe t o v n =
     ignore (Bitset.add set n)
   end
 
+(* |K|: the distinct versions of the final labelling — consumed (δ
+   included) and store-yielded — plus ε. Intermediate melds that no node
+   ends up with are not counted. *)
+let count_versions consume store_yield =
+  let bound = ref 1 in
+  let note _ v = bound := Int.max !bound (v + 1) in
+  Hashtbl.iter note consume;
+  Hashtbl.iter note store_yield;
+  let seen = Bytes.make !bound '\000' in
+  let mark _ v = Bytes.unsafe_set seen v '\001' in
+  Hashtbl.iter mark consume;
+  Hashtbl.iter mark store_yield;
+  Bytes.set seen Version.epsilon '\001';
+  let n = ref 0 in
+  Bytes.iter (fun c -> if c <> '\000' then incr n) seen;
+  !n
+
 let duration t = t.duration
-let n_versions t = Version.n_versions t.vt
+let n_versions t = t.n_versions
 
 let sharing_factor t =
   (* consume-points per distinct (object, version) pair: how many SVFG
@@ -103,7 +121,7 @@ let sharing_factor t =
     (fun k v ->
       if not (Version.is_epsilon v) then begin
         incr points;
-        let o = k land ((1 lsl 31) - 1) in
+        let o = k land ((1 lsl Ptset.key_bits) - 1) in
         Hashtbl.replace distinct (o, v) ()
       end)
     t.consume;
@@ -145,7 +163,7 @@ let export t =
     raw_reliance = sorted_bindings t.reliance;
     raw_n_reliances = t.n_reliances;
     raw_n_prelabels = Version.n_prelabels t.vt;
-    raw_n_versions = Version.n_versions t.vt;
+    raw_n_versions = t.n_versions;
   }
 
 let import svfg raw =
@@ -161,6 +179,7 @@ let import svfg raw =
       reliance = Hashtbl.create (max 16 (Array.length raw.raw_reliance));
       subscribers = Hashtbl.create 1024;
       n_reliances = raw.raw_n_reliances;
+      n_versions = 1;
       duration = 0.;
     }
   in
@@ -174,110 +193,170 @@ let import svfg raw =
   Array.iter
     (fun (k, s) -> Hashtbl.replace t.reliance k (Bitset.copy s))
     raw.raw_reliance;
+  (* recounted rather than trusted: entries written before |K| counted only
+     the final labelling recorded the version table's size here *)
+  t.n_versions <- count_versions t.consume t.store_yield;
   t
 
-let compute ?(release_labels = true) ?(order = `Fifo) svfg =
+(* The SVFG's (source, object) -> destinations bindings grouped by object,
+   sources ascending within each object: object o's bindings are
+   [ends.(o-1), ends.(o)) of [srcs] and [dsts]. Two counting sorts, by
+   source then (stably) by object, make the order independent of the SVFG's
+   hash-table layout; the arrays hold one entry per binding and share the
+   graph's destination sets, so no edge is copied. *)
+type groups = { ends : int array; srcs : int array; dsts : Bitset.t array }
+
+let group_by_object svfg =
+  let n_nodes = Svfg.n_nodes svfg and n_objs = Prog.n_vars (Svfg.prog svfg) in
+  let by_src = Array.make (n_nodes + 1) 0 in
+  let ends = Array.make (n_objs + 1) 0 in
+  Svfg.iter_ind_sources svfg (fun src o _ ->
+      by_src.(src + 1) <- by_src.(src + 1) + 1;
+      ends.(o + 1) <- ends.(o + 1) + 1);
+  for n = 1 to n_nodes do
+    by_src.(n) <- by_src.(n) + by_src.(n - 1)
+  done;
+  for o = 1 to n_objs do
+    ends.(o) <- ends.(o) + ends.(o - 1)
+  done;
+  let n = ends.(n_objs) and none = Bitset.create () in
+  let objs = Array.make n 0 and sets = Array.make n none in
+  Svfg.iter_ind_sources svfg (fun src o d ->
+      let i = by_src.(src) in
+      objs.(i) <- o;
+      sets.(i) <- d;
+      by_src.(src) <- i + 1);
+  (* by_src.(s) is now the end of source s's run *)
+  let srcs = Array.make n 0 and dsts = Array.make n none in
+  let src = ref 0 in
+  for i = 0 to n - 1 do
+    while by_src.(!src) <= i do
+      incr src
+    done;
+    let o = objs.(i) in
+    let j = ends.(o) in
+    srcs.(j) <- !src;
+    dsts.(j) <- sets.(i);
+    ends.(o) <- j + 1
+  done;
+  { ends; srcs; dsts }
+
+(* Node roles in meld labelling, one byte per SVFG node. *)
+let r_flows = '\000'
+let r_store = '\001'
+let r_delta = '\002'
+
+(* Meld labelling (Fig. 8), one object at a time: [EXTERNAL] melds Y of an
+   edge's source into C of its target unless the target is δ (frozen);
+   [INTERNAL] makes non-store nodes yield what they consume, while a store
+   yields its fixed prelabel (a fixed node of the kernel). The static
+   version reliances ([A-PROP] with differing versions) are read off the
+   same per-object graph once it is labelled. Local ids follow the groups'
+   order, so the ids of new versions depend only on the SVFG. *)
+let label_objects t role { ends; srcs; dsts } =
+  let g = Meld.create () in
+  let local = Array.make (Svfg.n_nodes t.svfg) (-1) in
+  let glob = Vec.create ~dummy:0 () in
+  for o = 0 to Array.length ends - 2 do
+    let lo = if o = 0 then 0 else ends.(o - 1) and hi = ends.(o) in
+    if hi > lo then begin
+      Meld.clear g;
+      Vec.clear glob;
+      let add n =
+        let r = Bytes.unsafe_get role n in
+        let find tbl =
+          Option.value ~default:Version.epsilon (Hashtbl.find_opt tbl (key n o))
+        in
+        local.(n) <-
+          (if r = r_flows then Meld.add_node g Version.epsilon
+           else if r = r_store then Meld.add_fixed g (find t.store_yield)
+           else Meld.add_frozen g (find t.consume));
+        ignore (Vec.push glob n)
+      in
+      for i = lo to hi - 1 do
+        add srcs.(i)
+      done;
+      for i = lo to hi - 1 do
+        Bitset.iter
+          (fun n ->
+            if local.(n) < 0 then add n;
+            Meld.add_edge g (i - lo) local.(n))
+          dsts.(i)
+      done;
+      Meld.solve g t.vt;
+      for u = 0 to Meld.n_nodes g - 1 do
+        let n = Vec.get glob u in
+        local.(n) <- -1;
+        let c = Meld.label g u in
+        (* each (node, object) is labelled by exactly one object's pass, and
+           only δ nodes were bound before *)
+        if not (Version.is_epsilon c || Bytes.unsafe_get role n = r_delta) then
+          Hashtbl.add t.consume (key n o) c
+      done;
+      Meld.iter_edges g (fun u v ->
+          let y = Meld.yield g u and c = Meld.label g v in
+          if (not (Version.is_epsilon y)) && y <> c then
+            ignore (add_reliance t o y c))
+    end
+  done
+
+let compute ?(release_labels = true) svfg =
   let start = Unix.gettimeofday () in
   let prog = Svfg.prog svfg in
   let aux = Svfg.aux svfg in
+  let groups = group_by_object svfg in
   let t =
     {
       svfg;
       vt = Version.create ();
-      consume = Hashtbl.create 1024;
+      (* about one labelled (node, object) per binding *)
+      consume = Hashtbl.create (max 1024 (Array.length groups.srcs));
       store_yield = Hashtbl.create 256;
       delta = Bitset.create ();
       reliance = Hashtbl.create 1024;
       subscribers = Hashtbl.create 1024;
       n_reliances = 0;
+      n_versions = 1;
       duration = 0.;
     }
   in
-  (* Meld labelling converges fastest when nodes are visited in topological
-     order of the SVFG's SCC condensation (labels only flow forward); FIFO
-     is kept for the ablation. *)
-  let wl =
-    match order with
-    | `Fifo -> `F (Worklist.Fifo.create ())
-    | `Topo ->
-      let rank = Svfg.topo_rank svfg in
-      let priority n = if n < Array.length rank then rank.(n) else max_int in
-      `P (Worklist.Prio.create ~priority ())
-  in
-  let wl_push n =
-    ignore
-      (match wl with
-      | `F w -> Worklist.Fifo.push w n
-      | `P w -> Worklist.Prio.push w n)
-  in
-  let wl_pop () =
-    match wl with `F w -> Worklist.Fifo.pop w | `P w -> Worklist.Prio.pop w
-  in
+  let role = Bytes.make (Svfg.n_nodes svfg) r_flows in
   (* Prelabelling (Fig. 6). *)
   for n = 0 to Svfg.n_nodes svfg - 1 do
     match Svfg.kind svfg n with
     | Svfg.NInst { f; i } -> (
       match Prog.inst (Prog.func prog f) i with
       | Inst.Store _ ->
+        Bytes.set role n r_store;
         Bitset.iter
           (fun o ->
             Hashtbl.replace t.store_yield (key n o)
-              (Version.fresh t.vt ~table_label:"store");
-            wl_push n)
+              (Version.fresh t.vt ~table_label:"store"))
           (Pta_memssa.Annot.chi (Svfg.annot svfg) f i)
       | _ -> ())
     | Svfg.NFormalIn { f; obj } ->
       (* δ: functions that may be the target of an indirect call. *)
       if Callgraph.is_indirect_target aux.Pta_memssa.Modref.cg f then begin
+        Bytes.set role n r_delta;
         ignore (Bitset.add t.delta n);
         Hashtbl.replace t.consume (key n obj)
-          (Version.fresh t.vt ~table_label:"delta-fin");
-        wl_push n
+          (Version.fresh t.vt ~table_label:"delta-fin")
       end
     | Svfg.NActualOut { f; call; obj } -> (
       (* δ: return targets of indirect calls. *)
       match Prog.inst (Prog.func prog f) call with
       | Inst.Call { callee = Inst.Indirect _; _ } ->
+        Bytes.set role n r_delta;
         ignore (Bitset.add t.delta n);
         Hashtbl.replace t.consume (key n obj)
-          (Version.fresh t.vt ~table_label:"delta-aout");
-        wl_push n
+          (Version.fresh t.vt ~table_label:"delta-aout")
       | _ -> ())
     | _ -> ()
   done;
   Stats.add "vsfs.prelabels" (Version.n_prelabels t.vt);
-  (* Meld labelling (Fig. 8): [EXTERNAL] melds Y of the source into C of the
-     destination (unless δ); [INTERNAL] is folded into [yield]. *)
-  let rec loop () =
-    match wl_pop () with
-    | None -> ()
-    | Some n ->
-      Svfg.iter_ind_all svfg n (fun o m ->
-          let y = yield t n o in
-          if (not (Version.is_epsilon y)) && not (is_delta t m) then begin
-            let c = consume t m o in
-            let merged = Version.meld t.vt c y in
-            if merged <> c then begin
-              Hashtbl.replace t.consume (key m o) merged;
-              (* Non-store nodes yield what they consume, so successors of m
-                 must be revisited; stores yield a fixed prelabel but are
-                 pushed harmlessly (their outgoing yields are unchanged). *)
-              if not (is_store_node svfg m) then wl_push m
-            end
-          end);
-      loop ()
-  in
-  loop ();
-  (* Static version reliances ([A-PROP] with differing versions). *)
-  for n = 0 to Svfg.n_nodes svfg - 1 do
-    Svfg.iter_ind_all svfg n (fun o m ->
-        let y = yield t n o in
-        if not (Version.is_epsilon y) then begin
-          let c = consume t m o in
-          if y <> c then ignore (add_reliance t o y c)
-        end)
-  done;
+  label_objects t role groups;
+  t.n_versions <- count_versions t.consume t.store_yield;
   if release_labels then Version.seal t.vt;
   t.duration <- Unix.gettimeofday () -. start;
-  Stats.add "vsfs.versions" (Version.n_versions t.vt);
+  Stats.add "vsfs.versions" t.n_versions;
   t

@@ -23,13 +23,14 @@ open Pta_ir
 
 type t
 
-val compute :
-  ?release_labels:bool -> ?order:[ `Topo | `Fifo ] -> Pta_svfg.Svfg.t -> t
+val compute : ?release_labels:bool -> Pta_svfg.Svfg.t -> t
 (** Requires direct-call interprocedural edges to be present
-    ({!Pta_svfg.Svfg.connect_direct_calls}). [release_labels] (default
-    [true]) seals the version table after the fixpoint — the solver only
-    compares version ids — reclaiming the label sets; pass [false] to keep
-    them inspectable ({!Version.labels}). *)
+    ({!Pta_svfg.Svfg.connect_direct_calls}). Labels each object's indirect
+    subgraph in one SCC-topological {!Meld} pass; version ids are a
+    deterministic function of the SVFG. [release_labels] (default [true])
+    seals the version table after the fixpoint — the solver only compares
+    version ids — reclaiming the label sets; pass [false] to keep them
+    inspectable ({!Version.labels}). *)
 
 val table : t -> Version.table
 val svfg : t -> Pta_svfg.Svfg.t
@@ -65,6 +66,9 @@ val duration : t -> float
 (** Wall-clock seconds spent versioning (the paper's "versioning" column). *)
 
 val n_versions : t -> int
+(** |K|: the distinct versions of the final labelling (consumed, δ and
+    store-yielded versions, plus ε). Intermediate melds that no node ends
+    up with are not counted, so the figure does not depend on meld order. *)
 
 val n_reliances : t -> int
 
@@ -99,4 +103,5 @@ val import : Pta_svfg.Svfg.t -> raw -> t
 (** Rebuild onto an SVFG with the same node numbering the snapshot was taken
     from (imports of the {!Pta_svfg.Svfg.import} of the matching snapshot
     qualify — construction is deterministic). The version table is restored
-    sealed; {!duration} reads 0. Each call owns fresh mutable state. *)
+    sealed; {!duration} reads 0; {!n_versions} is recounted from the maps.
+    Each call owns fresh mutable state. *)

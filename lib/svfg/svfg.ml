@@ -95,6 +95,9 @@ let iter_ind_all t n f =
     iter_ind_succs t n obj (fun dst -> f obj dst)
   | _ -> ()
 
+let iter_ind_sources t f =
+  Hashtbl.iter (fun (src, o) dsts -> f src o dsts) t.ind_out
+
 let add_call_edges t (cs : Callgraph.callsite) g =
   let added = ref [] in
   let mu = Annot.mu t.annot cs.Callgraph.cs_func cs.Callgraph.cs_inst in

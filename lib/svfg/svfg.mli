@@ -62,6 +62,14 @@ val iter_ind_succs : t -> int -> Pta_ir.Inst.var -> (int -> unit) -> unit
 val iter_ind_all : t -> int -> (Pta_ir.Inst.var -> int -> unit) -> unit
 (** All outgoing indirect edges of a node. *)
 
+val iter_ind_sources :
+  t -> (int -> Pta_ir.Inst.var -> Pta_ds.Bitset.t -> unit) -> unit
+(** [iter_ind_sources t f] calls [f src o dsts] once per [(src, o)] pair
+    with outgoing indirect edges, in unspecified order — every indirect edge
+    of the graph in one pass, without a per-node lookup. [dsts] is the
+    graph's own set: read it, never mutate it, and do not keep it past the
+    next {!add_indirect_edge}. *)
+
 val iter_objs_defined : t -> int -> (Pta_ir.Inst.var -> unit) -> unit
 (** Objects for which the node is a definition (χ objects for stores/calls,
     the node's object for memory nodes). *)

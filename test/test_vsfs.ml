@@ -317,6 +317,271 @@ let test_key_overflow () =
   Alcotest.(check bool) "just below the limit packs" false
     (raises (lim - 1) (lim - 1))
 
+(* ---------- reference meld labelling ---------- *)
+
+(* The per-node FIFO meld loop [Versioning.compute] once ran, kept as an
+   oracle for the per-object SCC pass: whenever a node's consumed version
+   grows, every outgoing (object, successor) edge of it is melded again.
+   Prelabels are created in the same node order, so both implementations
+   number the prelabels alike and their label sets compare directly. *)
+type reference = {
+  r_table : V.table;
+  r_consume : (int * int, V.t) Hashtbl.t;  (* (node, obj) -> C *)
+  r_store_yield : (int * int, V.t) Hashtbl.t;
+  r_delta : Pta_ds.Bitset.t;
+  r_n_reliances : int;
+}
+
+let reference_versioning svfg =
+  let prog = Svfg.prog svfg and aux = Svfg.aux svfg in
+  let table = V.create () in
+  let consume = Hashtbl.create 64 and store_yield = Hashtbl.create 64 in
+  let delta = Pta_ds.Bitset.create () in
+  let find tbl k = Option.value ~default:V.epsilon (Hashtbl.find_opt tbl k) in
+  let is_store n =
+    match Svfg.kind svfg n with
+    | Svfg.NInst _ -> Inst.is_store (Svfg.inst_of svfg n)
+    | _ -> false
+  in
+  let yield n o = if is_store n then find store_yield (n, o) else find consume (n, o) in
+  let wl = Pta_ds.Worklist.Fifo.create () in
+  let push n = ignore (Pta_ds.Worklist.Fifo.push wl n) in
+  for n = 0 to Svfg.n_nodes svfg - 1 do
+    match Svfg.kind svfg n with
+    | Svfg.NInst { f; i } -> (
+      match Prog.inst (Prog.func prog f) i with
+      | Inst.Store _ ->
+        Pta_ds.Bitset.iter
+          (fun o ->
+            Hashtbl.replace store_yield (n, o) (V.fresh table ~table_label:"store");
+            push n)
+          (Pta_memssa.Annot.chi (Svfg.annot svfg) f i)
+      | _ -> ())
+    | Svfg.NFormalIn { f; obj } ->
+      if Callgraph.is_indirect_target aux.Pta_memssa.Modref.cg f then begin
+        ignore (Pta_ds.Bitset.add delta n);
+        Hashtbl.replace consume (n, obj) (V.fresh table ~table_label:"delta-fin");
+        push n
+      end
+    | Svfg.NActualOut { f; call; obj } -> (
+      match Prog.inst (Prog.func prog f) call with
+      | Inst.Call { callee = Inst.Indirect _; _ } ->
+        ignore (Pta_ds.Bitset.add delta n);
+        Hashtbl.replace consume (n, obj) (V.fresh table ~table_label:"delta-aout");
+        push n
+      | _ -> ())
+    | _ -> ()
+  done;
+  let rec loop () =
+    match Pta_ds.Worklist.Fifo.pop wl with
+    | None -> ()
+    | Some n ->
+      Svfg.iter_ind_all svfg n (fun o m ->
+          let y = yield n o in
+          if (not (V.is_epsilon y)) && not (Pta_ds.Bitset.mem delta m) then begin
+            let c = find consume (m, o) in
+            let merged = V.meld table c y in
+            if merged <> c then begin
+              Hashtbl.replace consume (m, o) merged;
+              if not (is_store m) then push m
+            end
+          end);
+      loop ()
+  in
+  loop ();
+  let reliances = Hashtbl.create 64 in
+  for n = 0 to Svfg.n_nodes svfg - 1 do
+    Svfg.iter_ind_all svfg n (fun o m ->
+        let y = yield n o in
+        if not (V.is_epsilon y) then begin
+          let c = find consume (m, o) in
+          if y <> c then Hashtbl.replace reliances (o, y, c) ()
+        end)
+  done;
+  { r_table = table; r_consume = consume; r_store_yield = store_yield;
+    r_delta = delta; r_n_reliances = Hashtbl.length reliances }
+
+(* Every (node, object) endpoint of an indirect edge consumes and yields the
+   same label set under both implementations; δ sets and reliance counts
+   agree. Needs [~release_labels:false]. *)
+let agrees_with_reference svfg ver =
+  let r = reference_versioning svfg in
+  let table = Versioning.table ver in
+  let ok = ref true in
+  let check what got want =
+    if got <> want then begin
+      ok := false;
+      Format.eprintf "reference mismatch: %s@." what
+    end
+  in
+  let same n o =
+    let find tbl = Option.value ~default:V.epsilon (Hashtbl.find_opt tbl (n, o)) in
+    let r_yield =
+      if Hashtbl.mem r.r_store_yield (n, o) then find r.r_store_yield
+      else find r.r_consume
+    in
+    check
+      (Printf.sprintf "consume (%d, %d)" n o)
+      (V.labels table (Versioning.consume ver n o))
+      (V.labels r.r_table (find r.r_consume));
+    check
+      (Printf.sprintf "yield (%d, %d)" n o)
+      (V.labels table (Versioning.yield ver n o))
+      (V.labels r.r_table r_yield)
+  in
+  for n = 0 to Svfg.n_nodes svfg - 1 do
+    check (Printf.sprintf "delta %d" n) (Versioning.is_delta ver n)
+      (Pta_ds.Bitset.mem r.r_delta n);
+    Svfg.iter_ind_all svfg n (fun o m -> same n o; same m o)
+  done;
+  check "n_reliances" (string_of_int (Versioning.n_reliances ver))
+    (string_of_int r.r_n_reliances);
+  !ok
+
+let prop_versioning_equals_reference =
+  QCheck2.Test.make ~name:"versioning = reference FIFO meld loop" ~count:40
+    QCheck2.Gen.(0 -- 5_000)
+    (fun seed ->
+      let pa =
+        prepare (Pta_workload.Gen.source (Pta_workload.Gen.small_random seed))
+      in
+      let svfg = fresh_svfg pa in
+      agrees_with_reference svfg (Versioning.compute ~release_labels:false svfg))
+
+let test_store_on_cycle () =
+  (* The loop's store sits on a MEMPHI -> store -> MEMPHI cycle: it consumes
+     the cycle's label, which melds in its own prelabel, while it still
+     yields that prelabel alone. *)
+  let _, svfg, ver =
+    versioning_of
+      {|
+      global g;
+      func main() {
+        var p, q, c;
+        p = malloc();
+        q = malloc();
+        *p = q;
+        c = p;
+        while (c != null) { *p = q; c = *p; }
+        g = c;
+      }
+      |}
+  in
+  let table = Versioning.table ver in
+  let found = ref false in
+  for n = 0 to Svfg.n_nodes svfg - 1 do
+    match Svfg.kind svfg n with
+    | Svfg.NInst _ when Inst.is_store (Svfg.inst_of svfg n) ->
+      Svfg.iter_objs_defined svfg n (fun o ->
+          let y = V.labels table (Versioning.yield ver n o) in
+          let c = V.labels table (Versioning.consume ver n o) in
+          if List.length c > 1 && List.for_all (fun l -> List.mem l c) y then begin
+            found := true;
+            Alcotest.(check int) "yield stays one prelabel" 1 (List.length y);
+            (* the MEMPHI that closes the cycle consumes the same version *)
+            let memphi_shares = ref false in
+            for m = 0 to Svfg.n_nodes svfg - 1 do
+              match Svfg.kind svfg m with
+              | Svfg.NMemPhi { obj; _ } when obj = o ->
+                if Versioning.consume ver m o = Versioning.consume ver n o then
+                  memphi_shares := true
+              | _ -> ()
+            done;
+            Alcotest.(check bool) "MEMPHI shares the store's C" true !memphi_shares
+          end)
+    | _ -> ()
+  done;
+  Alcotest.(check bool) "a store consumes its own yield" true !found;
+  Alcotest.(check bool) "matches reference" true (agrees_with_reference svfg ver)
+
+let test_delta_on_cycle () =
+  (* [walk] is an indirect-call target, so its FormalIns are δ. The
+     recursive call closes FormalIn -> ActualIn -> FormalIn, and main's
+     direct call feeds the store's version in: both incoming edges are
+     ignored, and the FormalIn keeps its singleton prelabel. *)
+  let p, svfg, ver =
+    versioning_of
+      {|
+      global fp;
+      func walk(x) { var t; if (x == null) { return; } t = *x; walk(x); return; }
+      func main() {
+        var a, h;
+        fp = &walk;
+        a = malloc();
+        h = malloc();
+        *a = h;
+        walk(a);
+        (*fp)(a);
+      }
+      |}
+  in
+  let table = Versioning.table ver in
+  let walk = (Option.get (Prog.func_by_name p "walk")).Prog.id in
+  let ignored = ref false and cycle = ref false in
+  for n = 0 to Svfg.n_nodes svfg - 1 do
+    Svfg.iter_ind_all svfg n (fun o m ->
+        match Svfg.kind svfg m with
+        | Svfg.NFormalIn { f; _ } when f = walk ->
+          Alcotest.(check bool) "walk's FormalIn is δ" true (Versioning.is_delta ver m);
+          let c = Versioning.consume ver m o and y = Versioning.yield ver n o in
+          Alcotest.(check int) "δ keeps its prelabel" 1
+            (List.length (V.labels table c));
+          if y = c then cycle := true
+          else if not (V.is_epsilon y) then begin
+            ignored := true;
+            let relied = ref false in
+            Versioning.iter_relied ver o y (fun v -> if v = c then relied := true);
+            Alcotest.(check bool) "ignored edge becomes a reliance" true !relied
+          end
+        | _ -> ())
+  done;
+  Alcotest.(check bool) "the cycle returns the δ label" true !cycle;
+  Alcotest.(check bool) "another label arrives and is ignored" true !ignored;
+  Alcotest.(check bool) "matches reference" true (agrees_with_reference svfg ver)
+
+let test_n_versions_distinct () =
+  (* |K| counts the versions of the final labelling — the distinct consumed
+     and yielded versions, plus ε — not every meld the table interned. *)
+  let _, svfg, ver = versioning_of redundancy_src in
+  let seen = Hashtbl.create 64 in
+  Hashtbl.replace seen V.epsilon ();
+  for n = 0 to Svfg.n_nodes svfg - 1 do
+    Svfg.iter_ind_all svfg n (fun o m ->
+        Hashtbl.replace seen (Versioning.yield ver n o) ();
+        Hashtbl.replace seen (Versioning.consume ver m o) ();
+        Hashtbl.replace seen (Versioning.consume ver n o) ())
+  done;
+  (* stores yield their prelabel even with no outgoing edge for it *)
+  for n = 0 to Svfg.n_nodes svfg - 1 do
+    Svfg.iter_objs_defined svfg n (fun o ->
+        Hashtbl.replace seen (Versioning.yield ver n o) ())
+  done;
+  Alcotest.(check int) "distinct consume/yield versions + ε"
+    (Hashtbl.length seen) (Versioning.n_versions ver);
+  Alcotest.(check bool) "no more than the table interned" true
+    (Versioning.n_versions ver <= V.n_versions (Versioning.table ver))
+
+let test_ids_independent_of_layout () =
+  (* An SVFG imported with its edges inserted in reverse holds the same
+     edges in a differently laid-out hash table; version ids must not
+     notice. *)
+  let e = Option.get (Pta_workload.Suite.find ~scale:0.1 "du") in
+  let b =
+    Pta_workload.Pipeline.build_source
+      (Pta_workload.Gen.source e.Pta_workload.Suite.cfg)
+  in
+  let svfg = Pta_workload.Pipeline.fresh_svfg b in
+  let raw = Svfg.export svfg in
+  let n = Array.length raw.Svfg.raw_ind in
+  let reversed = Array.init n (fun i -> raw.Svfg.raw_ind.(n - 1 - i)) in
+  let copy =
+    Svfg.import b.Pta_workload.Pipeline.prog b.Pta_workload.Pipeline.aux
+      { raw with Svfg.raw_ind = reversed }
+  in
+  Alcotest.(check bool) "same versioning snapshot" true
+    (Versioning.export (Versioning.compute svfg)
+    = Versioning.export (Versioning.compute copy))
+
 (* ---------- VSFS precision equality ---------- *)
 
 let equal_on src =
@@ -593,6 +858,13 @@ let () =
             test_static_reliance_acyclic;
           Alcotest.test_case "sharing factor" `Quick test_sharing_factor;
           Alcotest.test_case "packed-key overflow" `Quick test_key_overflow;
+          Alcotest.test_case "store on a cycle" `Quick test_store_on_cycle;
+          Alcotest.test_case "delta on a cycle" `Quick test_delta_on_cycle;
+          Alcotest.test_case "n_versions = distinct labels" `Quick
+            test_n_versions_distinct;
+          QCheck_alcotest.to_alcotest prop_versioning_equals_reference;
+          Alcotest.test_case "ids independent of table layout" `Quick
+            test_ids_independent_of_layout;
         ] );
       ( "precision-equality",
         [
