@@ -1,17 +1,18 @@
-(* v2: solver artifacts use structure-shared bitset frames (a per-artifact
-   pool of distinct sets, referenced by index). v3: the set pool itself is
-   block-pooled — distinct 1008-element blocks are serialised once per
-   artifact and sets reference them by index (see [Artifact]); the encoding
-   is self-describing, so v3 readers load v2 frames unchanged.
+(* v3: solver artifacts use structure-shared set pools (a per-artifact pool
+   of distinct sets, referenced by index) whose sets are themselves
+   block-pooled — distinct block spans are serialised once per artifact and
+   sets reference them by index (see [Artifact]). Only v3 frames are read:
+   the store is content-addressed and disposable, so an older frame is
+   reclaimed as corrupt and its artifact recomputed.
 
-   [key_version] participates in every entry key; it is pinned at 2 and
-   does NOT move with [format_version], precisely because v3 is a
-   compatible extension — bumping the key would orphan every readable v2
-   entry. Rotate [key_version] only on a break that makes old payloads
-   *unreadable*. *)
+   [key_version] participates in every entry key; it is pinned at 2 (the
+   version that introduced it) and does NOT move with [format_version], so
+   every v3 entry written so far keeps its address. A v2 frame at the same
+   address fails the version check and is replaced by a v3 one. Rotate
+   [key_version] only on a break that makes v3 payloads *unreadable*. *)
 let format_version = 3
 let key_version = 2
-let compat_versions = [ 2; 3 ]
+let compat_versions = [ 3 ]
 let magic = "PTAS"
 let manifest_name = "MANIFEST.tsv"
 

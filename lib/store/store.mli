@@ -36,15 +36,16 @@
     one's. *)
 
 val format_version : int
-(** The version written into new frame headers (3: block-pooled set pools).
-    Bump on any {!Codec}/{!Artifact} encoding change; additionally bump
-    {!key_version} only if old payloads become unreadable. *)
+(** The version written into new frame headers (3: block-pooled set pools)
+    and the only one {!load} accepts; frames of any other version are
+    reclaimed as corrupt and recomputed. Bump on any {!Codec}/{!Artifact}
+    encoding change. *)
 
 val key_version : int
 (** The version folded into {!key} (pinned at 2). Deliberately decoupled
-    from {!format_version}: v3 is a self-describing, backward-compatible
-    extension of v2, so rotating the key would needlessly orphan every
-    readable v2 entry. Readers accept both frame versions. *)
+    from {!format_version} so every v3 entry already on disk keeps its
+    address; an older frame at the same address just fails the version
+    check and is replaced. *)
 
 type t
 

@@ -312,6 +312,36 @@ let test_midsolve_collapse () =
                (Pta_andersen.Naive.pts slow v))))
     Pta_engine.Scheduler.all
 
+(* The mega workload at small scale: near-identical reader sets over a
+   large heap, the regime the hierarchical sets exist for. Solving it must
+   actually share blocks across interned sets and skip untouched groups,
+   and tallying the distinct result sets must come out smaller than their
+   per-set materialisation. *)
+let test_mega_block_sharing () =
+  Pta_ds.Ptset.reset ();
+  Pta_ds.Stats.reset_all ();
+  let p = compile Pta_workload.Gen.(mega_source (mega_scaled 0.02)) in
+  let r = Pta_andersen.Solver.solve p in
+  let positive name =
+    let n = Pta_ds.Stats.get name in
+    Alcotest.(check bool) (Printf.sprintf "%s = %d > 0" name n) true (n > 0)
+  in
+  positive "hiset.block_reused";
+  positive "hiset.summary_skips";
+  let seen = Hashtbl.create 1024 in
+  let tally = Pta_ds.Ptset.Tally.create () in
+  Prog.iter_vars p (fun v ->
+      let id = Pta_andersen.Solver.pts_id r v in
+      if not (Hashtbl.mem seen id) then begin
+        Hashtbl.add seen id ();
+        Pta_ds.Ptset.Tally.visit tally id
+      end);
+  let shared = Pta_ds.Ptset.Tally.shared_words tally
+  and unshared = Pta_ds.Ptset.Tally.unshared_words tally in
+  Alcotest.(check bool)
+    (Printf.sprintf "shared words %d < unshared words %d" shared unshared)
+    true (shared < unshared)
+
 (* Pin the deferred-GEP flush order (see [flush_deferred_geps] in
    lib/andersen/solver.ml). Field objects are numbered by first
    materialisation, triples are consed during the complex-constraint walk
@@ -524,6 +554,8 @@ let () =
         [
           Alcotest.test_case "waves bounded" `Quick test_waves_terminate;
           Alcotest.test_case "mid-solve collapse" `Quick test_midsolve_collapse;
+          Alcotest.test_case "mega workload shares blocks" `Quick
+            test_mega_block_sharing;
         ] );
       ( "unify",
         [

@@ -274,18 +274,6 @@ let test_ptset_view_words () =
     ((2 * Ptset.words a) + Ptset.words (ptset_of_list [ 5 ]))
     (Ptset.Tally.unshared_words tl)
 
-(* Run [f] inside its own pool generation under [repr], restoring the
-   caller's default (and a fresh generation) on the way out. *)
-let with_repr repr f =
-  let saved = Ptset.default_repr () in
-  Ptset.set_default_repr repr;
-  Ptset.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Ptset.set_default_repr saved;
-      Ptset.reset ())
-    f
-
 let test_ptset_key_overflow () =
   Ptset.reset ();
   Alcotest.(check int) "key_limit = 2^key_bits" (1 lsl Ptset.key_bits)
@@ -304,49 +292,6 @@ let test_ptset_key_overflow () =
   Alcotest.(check bool) "element just below the limit works" true
     (Ptset.mem s top);
   Alcotest.(check int) "cardinal" 1 (Ptset.cardinal s)
-
-let test_ptset_repr_equivalence () =
-  (* The same operation sequence under both canonical representations:
-     identical elements and identical (representation-independent) content
-     hashes. Elements straddle word, block and group boundaries. *)
-  let workload () =
-    let a = ptset_of_list [ 1; 62; 63; 1007; 1008; 63503; 63504; 200_000 ] in
-    let b = ptset_of_list [ 2; 63; 1008; 70_000; 200_000 ] in
-    let u = Ptset.union a b in
-    let d = Ptset.diff a b in
-    let i = Ptset.inter a b in
-    let u2, dl = Ptset.union_delta a b in
-    ( [
-        Ptset.elements u; Ptset.elements d; Ptset.elements i;
-        Ptset.elements u2; Ptset.elements dl;
-      ],
-      List.map Ptset.content_hash [ a; b; u; d; i; dl ],
-      (Ptset.equal u u2, Ptset.subset i a, Ptset.cardinal u) )
-  in
-  let ef, hf, mf = with_repr Ptset.Flat workload in
-  let eh, hh, mh = with_repr Ptset.Hier workload in
-  Alcotest.(check (list (list int))) "same elements" ef eh;
-  Alcotest.(check (list int)) "same content hashes" hf hh;
-  Alcotest.(check bool) "same predicates" true (mf = mh)
-
-let prop_ptset_repr_equiv =
-  QCheck2.Test.make ~name:"flat and hier representations agree" ~count:150
-    QCheck2.Gen.(pair ints_small ints_sparse)
-    (fun (a, b) ->
-      let run repr =
-        with_repr repr (fun () ->
-            let sa = ptset_of_list a and sb = ptset_of_list b in
-            let u, d = Ptset.union_delta sa sb in
-            ( Ptset.elements (Ptset.union sa sb),
-              Ptset.elements (Ptset.diff sa sb),
-              Ptset.elements (Ptset.inter sa sb),
-              Ptset.elements u,
-              Ptset.elements d,
-              Ptset.content_hash sa,
-              Ptset.subset sa sb,
-              Ptset.cardinal sa ))
-      in
-      run Ptset.Flat = run Ptset.Hier)
 
 let prop_ptset_roundtrip =
   QCheck2.Test.make ~name:"ptset elements = sorted input" ~count:300
@@ -415,7 +360,9 @@ let prop_ptset_subset_cardinal =
     (fun (a, b) ->
       let sa = ptset_of_list a and sb = ptset_of_list b in
       Ptset.subset sa sb = Model.subset (Model.of_list a) (Model.of_list b)
-      && Ptset.cardinal sa = List.length (Model.of_list a))
+      && Ptset.cardinal sa = List.length (Model.of_list a)
+      && Ptset.elements (Ptset.inter sa sb)
+         = Model.inter (Model.of_list a) (Model.of_list b))
 
 (* ---------- vec ---------- *)
 
@@ -737,12 +684,9 @@ let () =
           Alcotest.test_case "view/tally" `Quick test_ptset_view_words;
           Alcotest.test_case "packed-key overflow" `Quick
             test_ptset_key_overflow;
-          Alcotest.test_case "repr equivalence" `Quick
-            test_ptset_repr_equivalence;
         ] );
       qsuite "ptset-props"
         [
-          prop_ptset_repr_equiv;
           prop_ptset_roundtrip;
           prop_ptset_equal_ids;
           prop_ptset_add;

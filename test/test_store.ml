@@ -445,7 +445,7 @@ let test_corrupt_entry_recomputed () =
   let _, warm = Pipeline.build_cached ~store src in
   Alcotest.(check bool) "healthy again" true warm
 
-(* ---------- v3 block-pooled set pools vs the v2 read path ---------- *)
+(* ---------- v3 block-pooled set pools; v2 payloads are rejected ---------- *)
 
 let check_bs = Alcotest.testable Pta_ds.Bitset.pp Pta_ds.Bitset.equal
 
@@ -501,41 +501,37 @@ let check_points_to what (a : Artifact.points_to) (b : Artifact.points_to) =
     (fun i s -> Alcotest.check check_bs (what ^ " obj") s b.Artifact.obj.(i))
     a.Artifact.obj
 
-let test_v2_pool_still_loads () =
-  (* the forward-compat read path: v3 readers must load v2 payloads *)
-  let r = sample_points_to () in
-  check_points_to "v2 payload" r
-    (Artifact.decode_points_to (encode_points_to_v2 r))
-
-let test_v2_frame_still_loads () =
-  (* ... and v2 *frames*: same magic, version field 2 *)
+let test_v2_frame_reclaimed () =
+  (* v2 *frames* (same magic, version field 2) are no longer read: the
+     entry is reclaimed as corrupt and the caller recomputes and re-saves *)
   let dir = fresh_dir () in
   let store = Store.open_ dir in
   let key = Store.key ~stage:"blob" [ "v2" ] in
-  let payload = "a v2-era payload" in
-  let b = Buffer.create 64 in
-  Buffer.add_string b "PTAS";
-  Codec.add_uint b 2;
-  Codec.add_string b "blob";
-  Codec.add_string b key;
-  Codec.add_string b (Digest.string payload);
-  Codec.add_string b payload;
-  let oc = open_out_bin (Filename.concat dir ("blob-" ^ key ^ ".bin")) in
-  Buffer.output_buffer oc b;
-  close_out oc;
-  Alcotest.(check (option string)) "v2 frame loads" (Some payload)
+  let path = Filename.concat dir ("blob-" ^ key ^ ".bin") in
+  let write_frame version payload =
+    let b = Buffer.create 64 in
+    Buffer.add_string b "PTAS";
+    Codec.add_uint b version;
+    Codec.add_string b "blob";
+    Codec.add_string b key;
+    Codec.add_string b (Digest.string payload);
+    Codec.add_string b payload;
+    let oc = open_out_bin path in
+    Buffer.output_buffer oc b;
+    close_out oc
+  in
+  Pta_ds.Stats.reset_all ();
+  write_frame 2 "a v2-era payload";
+  Alcotest.(check (option string)) "v2 frame is a miss" None
     (Store.load store ~stage:"blob" ~key);
-  (* an *unknown* version must still be rejected *)
-  let b = Buffer.create 64 in
-  Buffer.add_string b "PTAS";
-  Codec.add_uint b 99;
-  Codec.add_string b "blob";
-  Codec.add_string b key;
-  Codec.add_string b (Digest.string payload);
-  Codec.add_string b payload;
-  let oc = open_out_bin (Filename.concat dir ("blob-" ^ key ^ ".bin")) in
-  Buffer.output_buffer oc b;
-  close_out oc;
+  Alcotest.(check bool) "v2 frame deleted" false (Sys.file_exists path);
+  Alcotest.(check int) "store.corrupt bumped" 1
+    (Pta_ds.Stats.get "store.corrupt");
+  Store.save store ~stage:"blob" ~key "recomputed";
+  Alcotest.(check (option string)) "recomputed entry hits" (Some "recomputed")
+    (Store.load store ~stage:"blob" ~key);
+  (* an *unknown* version is rejected the same way *)
+  write_frame 99 "a future payload";
   Alcotest.(check (option string)) "unknown version is a miss" None
     (Store.load store ~stage:"blob" ~key)
 
@@ -558,6 +554,10 @@ let expect_corrupt what bytes =
   match Artifact.decode_points_to bytes with
   | _ -> Alcotest.failf "%s: corrupt pool accepted" what
   | exception Codec.Corrupt _ -> ()
+
+let test_v2_pool_rejected () =
+  (* a v2 pool starts with its set count, not the v3 magic *)
+  expect_corrupt "v2 payload" (encode_points_to_v2 (sample_points_to ()))
 
 let test_corrupt_blocks_rejected () =
   (* structurally malformed v3 pools must raise Corrupt, not crash or
@@ -617,10 +617,10 @@ let () =
       ( "artifacts",
         [
           Alcotest.test_case "program roundtrip" `Quick test_prog_roundtrip;
-          Alcotest.test_case "v2 pool still loads" `Quick
-            test_v2_pool_still_loads;
-          Alcotest.test_case "v2 frame still loads" `Quick
-            test_v2_frame_still_loads;
+          Alcotest.test_case "v2 pool rejected as Corrupt" `Quick
+            test_v2_pool_rejected;
+          Alcotest.test_case "v2 frame reclaimed and recomputed" `Quick
+            test_v2_frame_reclaimed;
           Alcotest.test_case "v3 shares blocks on disk" `Quick
             test_v3_shares_blocks_on_disk;
           Alcotest.test_case "corrupt blocks rejected" `Quick
