@@ -41,11 +41,11 @@ let resolve_query prog name =
   Prog.iter_vars prog (fun v -> if Prog.name prog v = name then r := v);
   if !r < 0 then None else Some !r
 
-let analyze file analysis scheduler pre queries dump_ir dump_svfg dot_file
+let analyze file analysis scheduler queries dump_ir dump_svfg dot_file
     check stats cache_dir =
   let src = read_file file in
   let store = Option.map open_store cache_dir in
-  let ctx = Pipeline.context ?store ~label:file ~pre ~strategy:scheduler () in
+  let ctx = Pipeline.context ?store ~label:file ~strategy:scheduler () in
   let b =
     try
       let b =
@@ -66,10 +66,6 @@ let analyze file analysis scheduler pre queries dump_ir dump_svfg dot_file
         exit 1
       | None -> raise e)
   in
-  (* stderr: the report on stdout must stay byte-identical across --pre *)
-  if b.Pipeline.pre_vars > 0 then
-    Format.eprintf "pre: unify seed merged %d of %d constraint-graph nodes@."
-      b.Pipeline.pre_merged b.Pipeline.pre_vars;
   let prog = b.Pipeline.prog in
   let aux = b.Pipeline.aux in
   if dump_ir then Format.printf "%s@." (Printer.prog_to_string prog);
@@ -237,22 +233,13 @@ let analyze_cmd =
                  unify (Steensgaard-style unification, the lattice's \
                  cheapest tier).")
   in
-  let pre =
-    Arg.(value
-         & opt (enum [ ("none", `None); ("unify", `Unify) ]) `None
-         & info [ "pre" ] ~docv:"TIER"
-             ~doc:"Pre-analysis seeding Andersen's constraint graph: none \
-                   (default) or unify (merge the unification partition's \
-                   copy-SCC core up front). Final results are bit-identical \
-                   either way; only the work to reach them changes.")
-  in
   let scheduler =
     Arg.(value
          & opt (enum Pta_engine.Scheduler.assoc) `Fifo
          & info [ "scheduler" ] ~docv:"STRATEGY"
              ~doc:"Engine worklist scheduling for the sfs, vsfs and dense \
-                   solvers: fifo (default), lifo, topo (SCC-topological over \
-                   the SVFG, or the ICFG for dense), or lrf \
+                   solvers: fifo (default), topo (SCC-topological over the \
+                   SVFG, or the ICFG for dense), or lrf \
                    (least-recently-fired). Every solve is sequential; any \
                    choice yields bit-identical points-to sets, and only the \
                    visit order (and so the running time) changes.")
@@ -296,7 +283,7 @@ let analyze_cmd =
     (Cmd.info "analyze" ~exits
        ~doc:"Analyse a mini-C (.c) or textual-IR (.ir) file")
     Term.(
-      const analyze $ file $ analysis $ scheduler $ pre $ queries $ dump_ir
+      const analyze $ file $ analysis $ scheduler $ queries $ dump_ir
       $ dump_svfg $ dot_file $ check $ stats $ cache_dir)
 
 let gen_cmd =

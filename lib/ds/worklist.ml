@@ -21,32 +21,6 @@ module Fifo = struct
   let length t = Queue.length t.queue
 end
 
-module Lifo = struct
-  type t = { mutable stack : int list; mutable count : int; queued : Bitset.t }
-
-  let create () = { stack = []; count = 0; queued = Bitset.create () }
-
-  let push t x =
-    if Bitset.add t.queued x then begin
-      t.stack <- x :: t.stack;
-      t.count <- t.count + 1;
-      true
-    end
-    else false
-
-  let pop t =
-    match t.stack with
-    | [] -> None
-    | x :: rest ->
-      t.stack <- rest;
-      t.count <- t.count - 1;
-      ignore (Bitset.remove t.queued x);
-      Some x
-
-  let is_empty t = t.stack = []
-  let length t = t.count
-end
-
 module Prio = struct
   (* Binary min-heap of (rank, item) pairs with an "on list" bitset for
      deduplication, tolerant of ranks that change while an item is queued

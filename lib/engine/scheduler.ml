@@ -1,22 +1,17 @@
 open Pta_ds
 
-type strategy = [ `Fifo | `Lifo | `Topo | `Lrf ]
+type strategy = [ `Fifo | `Topo | `Lrf ]
 
 let name = function
   | `Fifo -> "fifo"
-  | `Lifo -> "lifo"
   | `Topo -> "topo"
   | `Lrf -> "lrf"
 
-let all : strategy list = [ `Fifo; `Lifo; `Topo; `Lrf ]
+let all : strategy list = [ `Fifo; `Topo; `Lrf ]
 let assoc = List.map (fun s -> (name s, s)) all
-
-let of_name n =
-  List.find_opt (fun s -> name s = n) all
 
 type t =
   | Fifo of Worklist.Fifo.t
-  | Lifo of Worklist.Lifo.t
   | Prio of Worklist.Prio.t
   | Lrf of lrf
 
@@ -29,7 +24,6 @@ and lrf = {
 let make ?rank (strategy : strategy) =
   match strategy with
   | `Fifo -> Fifo (Worklist.Fifo.create ())
-  | `Lifo -> Lifo (Worklist.Lifo.create ())
   | `Topo ->
     let rank =
       match rank with
@@ -51,13 +45,11 @@ let make ?rank (strategy : strategy) =
 let push t x =
   match t with
   | Fifo w -> Worklist.Fifo.push w x
-  | Lifo w -> Worklist.Lifo.push w x
   | Prio w | Lrf { prio = w; _ } -> Worklist.Prio.push w x
 
 let pop t =
   match t with
   | Fifo w -> Worklist.Fifo.pop w
-  | Lifo w -> Worklist.Lifo.pop w
   | Prio w -> Worklist.Prio.pop w
   | Lrf l -> (
     match Worklist.Prio.pop l.prio with
@@ -70,11 +62,9 @@ let pop t =
 let length t =
   match t with
   | Fifo w -> Worklist.Fifo.length w
-  | Lifo w -> Worklist.Lifo.length w
   | Prio w | Lrf { prio = w; _ } -> Worklist.Prio.length w
 
 let is_empty t =
   match t with
   | Fifo w -> Worklist.Fifo.is_empty w
-  | Lifo w -> Worklist.Lifo.is_empty w
   | Prio w | Lrf { prio = w; _ } -> Worklist.Prio.is_empty w

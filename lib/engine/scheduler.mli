@@ -8,19 +8,16 @@
 
 type strategy =
   [ `Fifo  (** classic breadth-first worklist *)
-  | `Lifo  (** most recently pushed first (depth-first flavour) *)
   | `Topo  (** smallest static rank first — SCC-topological order *)
   | `Lrf  (** least recently fired first; starved nodes surface early *) ]
 
 val name : strategy -> string
-(** ["fifo" | "lifo" | "topo" | "lrf"] — used in telemetry records and CLI. *)
+(** ["fifo" | "topo" | "lrf"] — used in telemetry records and CLI. *)
 
 val all : strategy list
 
 val assoc : (string * strategy) list
 (** [(name s, s)] for {!all} — ready for [Cmdliner.Arg.enum]. *)
-
-val of_name : string -> strategy option
 
 type t
 

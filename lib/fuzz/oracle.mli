@@ -19,12 +19,12 @@ val all : t list
     over parse/lower/mem2reg/validate/andersen), ["andersen"] (wave solver
     vs the naive reference fixpoint, soundness direction distinguished),
     ["equiv"] (Dense = SFS = VSFS bit-equality via {!Vsfs_core.Equiv}),
-    ["unify"] (unification tier bounds Andersen; unify-seeded solve
-    bit-identical), ["sched"] (every scheduler lands on the same
-    fixpoint), ["store"] (cold vs warm-started {!Pta_store} pipeline
-    bit-equality, catching cache-staleness and codec bugs), ["par"]
-    (worker-domain vs caller-domain bit-equality) and ["serve"] (daemon
-    session vs cold batch solve). *)
+    ["unify"] (unification tier bounds Andersen), ["sched"] (every
+    scheduler — fifo, topo, lrf — lands on the same fixpoint), ["store"]
+    (cold vs warm-started {!Pta_store} pipeline bit-equality, catching
+    cache-staleness and codec bugs), ["par"] (worker-domain vs
+    caller-domain bit-equality) and ["serve"] (daemon session vs cold
+    batch solve). *)
 
 val find : string -> t option
 val names : string list

@@ -307,7 +307,7 @@ let solve ?(strategy = `Fifo) prog (aux : Pta_memssa.Modref.aux) =
         ~rank:(fun nid ->
           if nid < n then Pta_graph.Scc.rank_of_node scc nid else max_int)
         `Topo
-    | (`Fifo | `Lifo | `Lrf) as s -> Pta_engine.Scheduler.make s
+    | (`Fifo | `Lrf) as s -> Pta_engine.Scheduler.make s
   in
   let eng = Pta_engine.Engine.create ~telemetry:tel ~scheduler ~process () in
   (* Seed: every node once. *)

@@ -34,7 +34,7 @@ let scheduler strategy svfg =
     Pta_engine.Scheduler.make
       ~rank:(fun n -> if n < Array.length rank then rank.(n) else max_int)
       `Topo
-  | (`Fifo | `Lifo | `Lrf) as s -> Pta_engine.Scheduler.make s
+  | (`Fifo | `Lrf) as s -> Pta_engine.Scheduler.make s
 
 let pt_id t v =
   (* Field objects may be interned after [create]; grow on demand. *)

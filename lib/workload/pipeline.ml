@@ -1,8 +1,6 @@
 module Store = Pta_store.Store
 module Artifact = Pta_store.Artifact
 
-type pre = [ `None | `Unify ]
-
 type built = {
   prog : Pta_ir.Prog.t;
   aux : Pta_memssa.Modref.aux;
@@ -10,9 +8,6 @@ type built = {
   src_bytes : int;
   src_digest : string;
   andersen_seconds : float;
-  pre : pre;
-  pre_merged : int;
-  pre_vars : int;
 }
 
 let time f =
@@ -42,16 +37,15 @@ let frontend_error = function
 type ctx = {
   store : Store.t option;
   label : string;
-  pre : pre;
   strategy : Pta_engine.Scheduler.strategy option;
   stage_log : (string * float * bool) list ref;  (* newest first *)
 }
 
-let context ?store ?(label = "") ?(pre = `None) ?strategy ?(jobs = 1) () =
+let context ?store ?(label = "") ?pre:_ ?strategy ?(jobs = 1) () =
   if jobs <> 1 then
     invalid_arg
       (Printf.sprintf "Pipeline.context: ~jobs:%d (only 1 is supported)" jobs);
-  { store; label; pre; strategy; stage_log = ref [] }
+  { store; label; strategy; stage_log = ref [] }
 
 let stage_log ctx = List.rev !(ctx.stage_log)
 
@@ -141,7 +135,7 @@ let ctx_for ?ctx ?strategy () =
   let c = match ctx with Some c -> c | None -> context () in
   match strategy with None -> c | Some _ -> { c with strategy }
 
-(* ---------- build stages: compile -> pre -> andersen ---------- *)
+(* ---------- build stages: compile -> andersen ---------- *)
 
 let stage_compile compile =
   Stage.v ~key:"compile" (fun _ src ->
@@ -152,15 +146,9 @@ let stage_compile compile =
         failwith ("generated program invalid:\n" ^ String.concat "\n" errs));
       prog)
 
-let stage_pre =
-  Stage.v ~key:"pre" (fun ctx prog ->
-      match ctx.pre with
-      | `None -> (prog, None)
-      | `Unify -> (prog, Some (Pta_andersen.Unify.seed_partition prog)))
-
 let stage_andersen =
-  Stage.v ~key:"andersen" (fun _ (prog, pre) ->
-      let r = Pta_andersen.Solver.solve ?pre prog in
+  Stage.v ~key:"andersen" (fun _ prog ->
+      let r = Pta_andersen.Solver.solve prog in
       let aux =
         {
           Pta_memssa.Modref.pt = Pta_andersen.Solver.pts r;
@@ -168,12 +156,12 @@ let stage_andersen =
         }
       in
       Pta_memssa.Singleton.refine prog ~cg:aux.Pta_memssa.Modref.cg;
-      (prog, pre, aux))
+      (prog, aux))
 
 (* The fused build stage owns the store probe: a warm hit imports the
    program *after* singleton refinement and Andersen's constraint
    expansion (the var table already holds the field objects and the
-   refined singleton flags), skipping the whole compile/pre/andersen
+   refined singleton flags), skipping the whole compile/andersen
    prefix. *)
 let stage_build ?(compile = fun src -> Pta_cfront.Lower.compile src) () =
   let keys src =
@@ -200,9 +188,6 @@ let stage_build ?(compile = fun src -> Pta_cfront.Lower.compile src) () =
             src_bytes = String.length src;
             src_digest;
             andersen_seconds = 0.;
-            pre = `None;
-            pre_merged = 0;
-            pre_vars = 0;
           }
       | _ -> None)
     ~save:(fun ctx store src b ->
@@ -220,9 +205,7 @@ let stage_build ?(compile = fun src -> Pta_cfront.Lower.compile src) () =
         (Artifact.encode_aux a))
     (fun ctx src ->
       let open Stage in
-      let prog, pre, aux =
-        run ctx (stage_compile compile >>> stage_pre >>> stage_andersen) src
-      in
+      let prog, aux = run ctx (stage_compile compile >>> stage_andersen) src in
       {
         prog;
         aux;
@@ -230,15 +213,6 @@ let stage_build ?(compile = fun src -> Pta_cfront.Lower.compile src) () =
         src_bytes = String.length src;
         src_digest = Pta_store.Digest.hex src;
         andersen_seconds = stage_seconds ctx "andersen";
-        pre = ctx.pre;
-        pre_merged =
-          (match pre with
-          | None -> 0
-          | Some p -> p.Pta_andersen.Unify.merged);
-        pre_vars =
-          (match pre with
-          | None -> 0
-          | Some p -> Array.length p.Pta_andersen.Unify.leader);
       })
 
 let build_source ?ctx ?compile src =

@@ -1,9 +1,8 @@
 (** End-to-end analysis pipeline, organised as a staged lattice:
 
-    mini-C source → compile (lower + mem2reg + validate) → unification
-    pre-analysis (optional) → Andersen (auxiliary) → singleton refinement →
-    SVFG (+ static direct-call edges) → meld versioning → SFS / VSFS /
-    dense / unify solvers.
+    mini-C source → compile (lower + mem2reg + validate) → Andersen
+    (auxiliary) → singleton refinement → SVFG (+ static direct-call edges)
+    → meld versioning → SFS / VSFS / dense / unify solvers.
 
     Every step is a {!Stage.t}: a typed input → output function with a
     stable key (also its {!Pta_store} stage name), an optional store
@@ -20,12 +19,6 @@
     coincide across rebuilds, and the paper excludes SVFG construction
     from its timings anyway. *)
 
-type pre = [ `None | `Unify ]
-(** Pre-analysis tier: [`Unify] seeds Andersen with
-    {!Pta_andersen.Unify.seed_partition}. Final SFS/VSFS results are
-    bit-identical either way — the seed only collapses constraint-graph
-    nodes Andersen's first wave would merge itself. *)
-
 type built = {
   prog : Pta_ir.Prog.t;
   aux : Pta_memssa.Modref.aux;  (** auxiliary points-to + call graph *)
@@ -33,9 +26,6 @@ type built = {
   src_bytes : int;
   src_digest : string;  (** content hash of the source, the cache key root *)
   andersen_seconds : float;  (** 0. when Andersen was loaded from the store *)
-  pre : pre;  (** pre-analysis used ([`None] for store-imported builds) *)
-  pre_merged : int;  (** constraint-graph nodes merged by the seed *)
-  pre_vars : int;  (** variables at seed time (the reduction denominator) *)
 }
 
 (* Front end ------------------------------------------------------------- *)
@@ -53,15 +43,16 @@ val frontend_error : exn -> string option
 (* Execution context ------------------------------------------------------ *)
 
 type ctx
-(** Carries the optional artifact store, cache label, pre-analysis choice,
-    scheduler strategy, and the per-stage log. One context per logical
-    pipeline run; safe to reuse across stages (the log accumulates). *)
+(** Carries the optional artifact store, cache label, scheduler strategy,
+    and the per-stage log. One context per logical pipeline run; safe to
+    reuse across stages (the log accumulates). *)
 
 val context :
-  ?store:Pta_store.Store.t -> ?label:string -> ?pre:pre ->
+  ?store:Pta_store.Store.t -> ?label:string -> ?pre:[ `None ] ->
   ?strategy:Pta_engine.Scheduler.strategy -> ?jobs:int -> unit -> ctx
-(** The solve stages are sequential. [?jobs] is kept only so existing
-    callers that pass [~jobs:1] keep compiling; it configures nothing.
+(** The solve stages are sequential and Andersen has no pre-analysis.
+    [?pre] and [?jobs] are kept only so existing callers that pass
+    [~pre:`None ~jobs:1] keep compiling; they configure nothing.
     @raise Invalid_argument for any [jobs] other than 1. *)
 
 val stage_log : ctx -> (string * float * bool) list
@@ -103,7 +94,7 @@ end
 
 val stage_build :
   ?compile:(string -> Pta_ir.Prog.t) -> unit -> (string, built) Stage.t
-(** compile ∘ pre ∘ andersen (each logged separately on a cold run), fused
+(** compile ∘ andersen (each logged separately on a cold run), fused
     behind one store probe: a warm hit imports the program + Andersen
     artifacts and skips the whole prefix. *)
 

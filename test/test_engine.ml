@@ -14,15 +14,14 @@ module Vsfs = Vsfs_core.Vsfs
 
 let test_strategy_names () =
   Alcotest.(check (list string))
-    "names" [ "fifo"; "lifo"; "topo"; "lrf" ]
+    "names" [ "fifo"; "topo"; "lrf" ]
     (List.map Scheduler.name Scheduler.all);
   List.iter
     (fun s ->
       Alcotest.(check bool)
         (Scheduler.name s) true
-        (Scheduler.of_name (Scheduler.name s) = Some s))
+        (List.assoc (Scheduler.name s) Scheduler.assoc = s))
     Scheduler.all;
-  Alcotest.(check bool) "of_name miss" true (Scheduler.of_name "nope" = None);
   Alcotest.(check int) "assoc size" (List.length Scheduler.all)
     (List.length Scheduler.assoc)
 
@@ -38,13 +37,10 @@ let drain t =
   in
   go []
 
-let test_fifo_lifo_order () =
+let test_fifo_order () =
   let f = Scheduler.make `Fifo in
   List.iter (fun x -> ignore (Scheduler.push f x)) [ 1; 2; 3 ];
-  Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] (drain f);
-  let l = Scheduler.make `Lifo in
-  List.iter (fun x -> ignore (Scheduler.push l x)) [ 1; 2; 3 ];
-  Alcotest.(check (list int)) "lifo" [ 3; 2; 1 ] (drain l)
+  Alcotest.(check (list int)) "fifo" [ 1; 2; 3 ] (drain f)
 
 let test_topo_order () =
   let rank = [| 30; 10; 20 |] in
@@ -442,7 +438,7 @@ let () =
         [
           Alcotest.test_case "strategy names" `Quick test_strategy_names;
           Alcotest.test_case "topo requires rank" `Quick test_topo_requires_rank;
-          Alcotest.test_case "fifo/lifo order" `Quick test_fifo_lifo_order;
+          Alcotest.test_case "fifo order" `Quick test_fifo_order;
           Alcotest.test_case "topo rank-at-pop" `Quick test_topo_order;
           Alcotest.test_case "lrf order" `Quick test_lrf_order;
         ] );
